@@ -242,7 +242,7 @@ let calibrate_sweep () =
     (* The engine comparison must not be distorted by one timing run
        hitting sweeps or compile artifacts another one persisted. *)
     Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false;
+    Gat_compiler.Artifacts.set_enabled false;
     Gat_tuner.Tuner.clear_cache ();
     let legacy_s =
       timed (fun () ->
@@ -274,7 +274,7 @@ let calibrate_sweep () =
        honest end-to-end numbers. *)
     Gat_tuner.Tuner.clear_cache ();
     Gat_tuner.Disk_cache.set_enabled true;
-    Gat_tuner.Artifact_store.set_enabled true;
+    Gat_compiler.Artifacts.set_enabled true;
     Some
       {
         cal_kernel = kernel.Gat_ir.Kernel.name;
@@ -328,7 +328,7 @@ let calibrate_sweep_cache () =
   ignore (Gat_tuner.Disk_cache.clear ());
   (* "Cold" means nothing on disk at all — stage artifacts from earlier
      calibrations would otherwise subsidize the cold pass. *)
-  ignore (Gat_tuner.Artifact_store.clear ());
+  ignore (Gat_compiler.Artifacts.clear ());
   Gat_tuner.Disk_cache.reset_stats ();
   Gat_tuner.Tuner.clear_cache ();
   let cold_s =
@@ -415,7 +415,7 @@ let calibrate_observability () =
      the later ones skip, and which mode pays would depend on round
      order, not tracing. *)
   Gat_tuner.Disk_cache.set_enabled false;
-  Gat_tuner.Artifact_store.set_enabled false;
+  Gat_compiler.Artifacts.set_enabled false;
   (* Three rounds suffice on the paper space (~2 s per sweep); the
      fast-mode space finishes in ~15 ms, so take more samples there to
      keep the median meaningful. *)
@@ -467,7 +467,7 @@ let calibrate_observability () =
   Gat_util.Trace.clear ();
   Gat_tuner.Tuner.clear_cache ();
   Gat_tuner.Disk_cache.set_enabled true;
-  Gat_tuner.Artifact_store.set_enabled true;
+  Gat_compiler.Artifacts.set_enabled true;
   let overhead_pct =
     if untraced_s > 0.0 then 100.0 *. (delta_s /. untraced_s) else 0.0
   in
@@ -548,7 +548,7 @@ let calibrate_scheduler () =
      stores out so the strategy that runs first doesn't pay the
      artifact stores the second one then hits. *)
   Gat_tuner.Disk_cache.set_enabled false;
-  Gat_tuner.Artifact_store.set_enabled false;
+  Gat_compiler.Artifacts.set_enabled false;
   let rounds = 3 in
   let run_strategy strategy =
     let best = ref infinity in
@@ -577,7 +577,7 @@ let calibrate_scheduler () =
   in
   Gat_tuner.Tuner.clear_cache ();
   Gat_tuner.Disk_cache.set_enabled true;
-  Gat_tuner.Artifact_store.set_enabled true;
+  Gat_compiler.Artifacts.set_enabled true;
   {
     sc_elements = elements;
     sc_heavy = chunk;
@@ -623,7 +623,7 @@ let calibrate_verifier () =
   let warm = compile_all 64 in
   (* Persisted verdicts from earlier calibrations would answer the
      "cold" pass from disk; this section measures the analysis itself. *)
-  Gat_tuner.Artifact_store.set_enabled false;
+  Gat_compiler.Artifacts.set_enabled false;
   Gat_tuner.Verdict_cache.clear ();
   let all_safe = ref true in
   let cold_s =
@@ -639,7 +639,7 @@ let calibrate_verifier () =
         List.iter (fun c -> ignore (Gat_tuner.Verdict_cache.get c)) warm)
   in
   let s = Gat_tuner.Verdict_cache.stats () in
-  Gat_tuner.Artifact_store.set_enabled true;
+  Gat_compiler.Artifacts.set_enabled true;
   {
     vc_programs = List.length cold + List.length warm;
     vc_all_safe = !all_safe;
@@ -647,120 +647,6 @@ let calibrate_verifier () =
     vc_warm_s = warm_s;
     vc_hits = s.Gat_tuner.Verdict_cache.hits;
     vc_misses = s.Gat_tuner.Verdict_cache.misses;
-  }
-
-(* ---- incremental-sweep calibration: one-block edit, O(delta) work ---- *)
-
-(* The content-addressed store's reason to exist: after editing one
-   statement of a kernel, a re-sweep should re-schedule only the blocks
-   that statement lands in — every untouched block's schedule comes
-   back from disk.  Sweep the stock atax cold, then sweep a copy whose
-   only difference is the accumulator-initialization constant (one MOV
-   immediate in the outer-loop block; the inner loops are untouched)
-   and count scheduler recompiles via the per-stage artifact counters.
-   The sweep-level disk cache is kept out of the way: it memoizes whole
-   sweeps by kernel name and would say nothing about block
-   granularity. *)
-
-type incr_calibration = {
-  ic_kernel : string;
-  ic_variants : int;
-  ic_full_s : float;  (** Cold sweep of the stock kernel. *)
-  ic_incr_s : float;  (** Re-sweep after the one-statement edit. *)
-  ic_total_blocks : int;  (** Scheduler store lookups in the edited sweep. *)
-  ic_recompiled : int;  (** Scheduler store misses in the edited sweep. *)
-  ic_hits : int;  (** All-stage artifact hits in the edited sweep. *)
-  ic_misses : int;
-  ic_ok : bool;
-}
-
-(* Workloads.atax with one edit: tmp starts at 1e-9 instead of 0.0. *)
-let atax_edited =
-  let open Gat_ir in
-  let open Gat_ir.Expr in
-  let decl = Kernel.array_decl in
-  Kernel.make ~name:"atax"
-    ~description:"atax with a one-statement edit (incremental bench)"
-    ~arrays:[ decl "A" 2; decl "x" 1; decl "y" 1 ]
-    [
-      Stmt.for_ ~kind:Stmt.Parallel "i" (int 0) Size
-        [
-          Stmt.Assign ("tmp", float 1e-9);
-          Stmt.for_ "j" (int 0) Size
-            [
-              Stmt.Assign
-                ( "tmp",
-                  var "tmp" + (read "A" [ var "i"; var "j" ] * read "x" [ var "j" ]) );
-            ];
-          Stmt.for_ "j" (int 0) Size
-            [
-              Stmt.Store
-                ( "y",
-                  [ var "j" ],
-                  read "y" [ var "j" ] + (read "A" [ var "i"; var "j" ] * var "tmp") );
-            ];
-        ];
-    ]
-
-let calibrate_incremental () =
-  let seed = Gat_report.Context.seed in
-  let ns, space =
-    if fast_mode then
-      ( [ 64 ],
-        {
-          Gat_tuner.Space.tc = [ 64; 128; 256 ];
-          bc = [ 32; 64 ];
-          uif = [ 1; 2 ];
-          pl = [ 16; 48 ];
-          sc = [ 1 ];
-          cflags = [ false; true ];
-        } )
-    else ([ Gat_workloads.Workloads.default_size atax ], Gat_tuner.Space.paper)
-  in
-  Gat_tuner.Disk_cache.set_enabled false;
-  ignore (Gat_tuner.Artifact_store.clear ());
-  Gat_tuner.Tuner.clear_cache ();
-  let full_s =
-    timed (fun () ->
-        ignore (Gat_tuner.Tuner.sweep_multi ~space ~jobs:1 atax gpu ~ns ~seed))
-  in
-  (* A "new process" about to sweep the edited kernel: in-memory caches
-     gone, the artifact tree still on disk. *)
-  Gat_tuner.Tuner.clear_cache ();
-  let sched_counters () =
-    let v name =
-      match List.assoc_opt name (Gat_util.Metrics.counters_snapshot ()) with
-      | Some n -> n
-      | None -> 0
-    in
-    (v "artifact.sched.hits", v "artifact.sched.misses")
-  in
-  let h0, m0 = sched_counters () in
-  let s0 = Gat_tuner.Artifact_store.stats () in
-  let incr_s =
-    timed (fun () ->
-        ignore
-          (Gat_tuner.Tuner.sweep_multi ~space ~jobs:1 atax_edited gpu ~ns ~seed))
-  in
-  let h1, m1 = sched_counters () in
-  let s1 = Gat_tuner.Artifact_store.stats () in
-  Gat_tuner.Tuner.clear_cache ();
-  Gat_tuner.Disk_cache.set_enabled true;
-  let recompiled = m1 - m0 in
-  let total_blocks = (h1 - h0) + recompiled in
-  {
-    ic_kernel = atax.Gat_ir.Kernel.name;
-    ic_variants = Gat_tuner.Space.cardinality space;
-    ic_full_s = full_s;
-    ic_incr_s = incr_s;
-    ic_total_blocks = total_blocks;
-    ic_recompiled = recompiled;
-    ic_hits = s1.Gat_tuner.Artifact_store.hits - s0.Gat_tuner.Artifact_store.hits;
-    ic_misses =
-      s1.Gat_tuner.Artifact_store.misses - s0.Gat_tuner.Artifact_store.misses;
-    (* O(delta): the edit must be noticed (some block rescheduled) and
-       contained (the untouched blocks served from the store). *)
-    ic_ok = recompiled > 0 && recompiled < total_blocks;
   }
 
 (* ---- sharded-sweep calibration ----
@@ -902,7 +788,7 @@ let calibrate_telemetry () =
   let gpu = Gat_arch.Gpu.k20 in
   let block = 16 in
   Gat_tuner.Disk_cache.set_enabled false;
-  Gat_tuner.Artifact_store.set_enabled false;
+  Gat_compiler.Artifacts.set_enabled false;
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gat-bench-telem-%d" (Unix.getpid ()))
@@ -957,7 +843,7 @@ let calibrate_telemetry () =
   | exception Sys_error _ -> ());
   Gat_tuner.Tuner.clear_cache ();
   Gat_tuner.Disk_cache.set_enabled true;
-  Gat_tuner.Artifact_store.set_enabled true;
+  Gat_compiler.Artifacts.set_enabled true;
   let median a =
     let b = Array.copy a in
     Array.sort Float.compare b;
@@ -978,11 +864,11 @@ let calibrate_telemetry () =
   }
 
 let write_bench_json ~calibration ~cache_cal ~obs_cal ~sched_cal ~verify_cal
-    ~incr_cal ~shard_cal ~telem_cal ~timings ~total_s =
+    ~shard_cal ~telem_cal ~timings ~total_s =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
-  add "  \"schema\": \"gat-bench-sweep/8\",\n";
+  add "  \"schema\": \"gat-bench-sweep/9\",\n";
   add "  \"jobs\": %d,\n" (Gat_util.Pool.jobs ());
   add "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   add "  \"fast_mode\": %b,\n" fast_mode;
@@ -1051,18 +937,6 @@ let write_bench_json ~calibration ~cache_cal ~obs_cal ~sched_cal ~verify_cal
   add "    \"warm_seconds\": %.3f,\n" vc.vc_warm_s;
   add "    \"cache_hits\": %d,\n" vc.vc_hits;
   add "    \"cache_misses\": %d\n" vc.vc_misses;
-  add "  },\n";
-  let ic = incr_cal in
-  add "  \"incremental\": {\n";
-  add "    \"kernel\": \"%s\",\n" ic.ic_kernel;
-  add "    \"variants\": %d,\n" ic.ic_variants;
-  add "    \"full_seconds\": %.3f,\n" ic.ic_full_s;
-  add "    \"incremental_seconds\": %.3f,\n" ic.ic_incr_s;
-  add "    \"total_blocks\": %d,\n" ic.ic_total_blocks;
-  add "    \"incremental_recompiles\": %d,\n" ic.ic_recompiled;
-  add "    \"artifact_hits\": %d,\n" ic.ic_hits;
-  add "    \"artifact_misses\": %d,\n" ic.ic_misses;
-  add "    \"incremental_ok\": %b\n" ic.ic_ok;
   add "  },\n";
   let sh = shard_cal in
   add "  \"sharding\": {\n";
@@ -1166,15 +1040,6 @@ let () =
     \  warm:     %.3f s  (%d verdict-cache hits across BC)\n\n"
     verify_cal.vc_programs verify_cal.vc_all_safe verify_cal.vc_cold_s
     verify_cal.vc_misses verify_cal.vc_warm_s verify_cal.vc_hits;
-  let incr_cal = calibrate_incremental () in
-  Printf.printf
-    "Incremental calibration (%s, %d variants, one-statement edit):\n\
-    \  full sweep:      %.3f s\n\
-    \  edited re-sweep: %.3f s  (%d of %d blocks rescheduled, %d artifact \
-     hits; O(delta): %b)\n\n"
-    incr_cal.ic_kernel incr_cal.ic_variants incr_cal.ic_full_s
-    incr_cal.ic_incr_s incr_cal.ic_recompiled incr_cal.ic_total_blocks
-    incr_cal.ic_hits incr_cal.ic_ok;
   let shard_cal = calibrate_sharding () in
   Printf.printf
     "Sharding calibration (%s, %d variants, %d shards, coordinator only):\n\
@@ -1195,7 +1060,7 @@ let () =
   (* Experiments, twice: a cold pass computing every sweep, and a warm
      pass that must satisfy them from the persistent cache alone. *)
   ignore (Gat_tuner.Disk_cache.clear ());
-  ignore (Gat_tuner.Artifact_store.clear ());
+  ignore (Gat_compiler.Artifacts.clear ());
   Gat_tuner.Tuner.clear_cache ();
   Gat_report.Context.reset ();
   let timings = run_experiments () in
@@ -1205,7 +1070,7 @@ let () =
   print_newline ();
   let total_s = Unix.gettimeofday () -. t0 in
   write_bench_json ~calibration ~cache_cal ~obs_cal ~sched_cal ~verify_cal
-    ~incr_cal ~shard_cal ~telem_cal ~timings ~total_s;
+    ~shard_cal ~telem_cal ~timings ~total_s;
   Printf.printf "wrote BENCH_sweep.json (jobs=%d, %.1f s total)\n\n"
     (Gat_util.Pool.jobs ()) total_s;
   run_microbenches ()

@@ -576,7 +576,7 @@ let t_sweep = Gat_util.Metrics.timer "cli.sweep"
 let autotune kernel gpu n seed strategy journal_path no_cache trace =
   if no_cache then begin
     Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
+    Gat_compiler.Artifacts.set_enabled false
   end;
   set_trace trace;
   let n = size_of kernel n in
@@ -686,7 +686,7 @@ let sweep kernel gpu n seed jobs retries max_failures resume no_checkpoint
     block no_cache top show_progress trace shards coordinator lease_ttl =
   if no_cache then begin
     Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
+    Gat_compiler.Artifacts.set_enabled false
   end;
   set_trace trace;
   set_jobs jobs;
@@ -904,7 +904,7 @@ let sweep_cmd =
 let sweep_worker dir jobs retries block no_cache show_progress trace =
   if no_cache then begin
     Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
+    Gat_compiler.Artifacts.set_enabled false
   end;
   set_trace trace;
   set_jobs jobs;
@@ -1071,7 +1071,7 @@ let replay_cmd =
 let experiment jobs no_cache trace id =
   if no_cache then begin
     Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
+    Gat_compiler.Artifacts.set_enabled false
   end;
   set_trace trace;
   set_jobs jobs;
@@ -1109,8 +1109,8 @@ let cache action max_bytes =
   | "stats" ->
       let entries, bytes = Gat_tuner.Disk_cache.disk_usage () in
       let s = Gat_tuner.Disk_cache.stats () in
-      let a_entries, a_bytes = Gat_tuner.Artifact_store.disk_usage () in
-      let a = Gat_tuner.Artifact_store.stats () in
+      let a_entries, a_bytes = Gat_compiler.Artifacts.disk_usage () in
+      let a = Gat_compiler.Artifacts.stats () in
       Printf.printf
         "directory: %s\nmodel:     %s\nentries:   %d (%s)\n\
          session:   %d hits, %d misses, %d stores, %d degraded writes\n\
@@ -1124,10 +1124,10 @@ let cache action max_bytes =
         s.Gat_tuner.Disk_cache.stores s.Gat_tuner.Disk_cache.degraded_writes
         s.Gat_tuner.Disk_cache.ckpt_stores s.Gat_tuner.Disk_cache.ckpt_resumes
         a_entries (human_bytes a_bytes)
-        (Gat_tuner.Artifact_store.dir ())
-        a.Gat_tuner.Artifact_store.hits a.Gat_tuner.Artifact_store.misses
-        a.Gat_tuner.Artifact_store.stores
-        a.Gat_tuner.Artifact_store.degraded_writes;
+        (Gat_compiler.Artifacts.dir ())
+        a.Gat_compiler.Artifacts.hits a.Gat_compiler.Artifacts.misses
+        a.Gat_compiler.Artifacts.stores
+        a.Gat_compiler.Artifacts.degraded_writes;
       let sh = Gat_tuner.Shard.usage () in
       Printf.printf
         "shards:    %d director%s, %d files (%s); %d live lease%s (%s \
@@ -1147,7 +1147,7 @@ let cache action max_bytes =
   | "clear" ->
       let removed =
         Gat_tuner.Disk_cache.clear ()
-        + Gat_tuner.Artifact_store.clear ()
+        + Gat_compiler.Artifacts.clear ()
         + Gat_tuner.Shard.clear ()
       in
       Printf.printf "removed %d cache entr%s from %s\n" removed

@@ -1,26 +1,21 @@
 (* The persistent content-addressed artifact store.
 
-   One entry per backend-stage result, keyed by an MD5 over everything
-   that shapes the stage's output — the weight-free structural digest
-   of the stage's input code ({!Gat_isa.Fingerprint}), the device
-   identity ({!Gat_arch.Gpu.identity}) and the stage-relevant scalar
-   parameters — plus a per-stage format version.  Because the digests
-   exclude the per-block execution weights (the only lowered artifact
-   the launch geometry shapes), variants that differ only in TC/BC or
-   in the problem size N key identically and share every stored stage
-   result, across runs and across processes.  A one-instruction edit
-   moves exactly the digests whose inputs changed: unchanged blocks'
-   scheduled bodies still hit, so a kernel edit recompiles O(delta),
-   not O(space).
-
-   Granularity per stage:
-   - [sched]  per basic-block body (the unit of the list scheduler);
-   - [ra]     per scheduled program and device;
-   - [coal]   per virtual program and device;
-   - [bt]     per virtual program, device and the occupancy-relevant
-              scalars (TC, L1 preference, staging, allocated regs);
-   - [verdict] per virtual program and TC (the verifier never reads
-              the device or the block count).
+   Two stages persist, each keyed by an MD5 over everything that shapes
+   its output — the weight-free structural digest of the virtual
+   program ({!Gat_isa.Fingerprint}) and the stage-relevant scalars —
+   plus a per-stage format version:
+   - [bt]      the simulator block table, per virtual program, device
+               and the occupancy-relevant scalars (TC, L1 preference,
+               staging, allocated regs);
+   - [verdict] the safety report, per virtual program and TC (the
+               verifier never reads the device or the block count).
+   The digests exclude the per-block execution weights (the only
+   lowered artifact the launch geometry shapes), so variants that
+   differ only in BC or in the problem size N key identically and
+   share every stored entry, across runs and across processes.
+   Schedule, register allocation and coalescing are not persisted:
+   they run once per code class and cost less than reading them back
+   ({!Codegen_cache} memoizes them in memory).
 
    Entries are MD5-sealed atomic files ([Gat_util.Sealed_file]) under
    [<cache root>/artifacts/]; corruption, truncation or a version
@@ -32,9 +27,7 @@
 
    The hard invariant every codec here must preserve: a store-served
    result is bit-identical to a recomputed one.  All floats travel as
-   [%h] hex literals (exact round-trip) and instruction streams travel
-   as [Instruction.to_string] lines (exact round-trip by the ISA's
-   exhaustive test). *)
+   [%h] hex literals (exact round-trip). *)
 
 open Gat_isa
 
@@ -74,7 +67,7 @@ let m_degraded = Gat_util.Metrics.counter "artifact.degraded_writes"
 let m_bytes_read = Gat_util.Metrics.counter "artifact.bytes_read"
 let m_bytes_written = Gat_util.Metrics.counter "artifact.bytes_written"
 
-let stage_names = [ "sched"; "ra"; "coal"; "bt"; "verdict" ]
+let stage_names = [ "bt"; "verdict" ]
 
 let per_stage kind =
   List.map
@@ -122,34 +115,12 @@ let degrade reason =
 
 (* The per-stage format versions.  A version participates in the key,
    so bumping one orphans exactly that stage's old entries (reclaimed
-   by [gat cache gc]) and leaves every other stage's results valid —
-   the O(delta) story for model changes. *)
-let sched_version = "sched/1"
-let ra_version = "ra/1"
-let coal_version = "coal/1"
+   by [gat cache gc]) and leaves the other stage's results valid. *)
 let bt_version = "bt/1"
 let verdict_version = "verdict/1"
 
-let versions =
-  [
-    ("sched", sched_version);
-    ("ra", ra_version);
-    ("coal", coal_version);
-    ("bt", bt_version);
-    ("verdict", verdict_version);
-  ]
-
 let key_of_parts parts =
   Digest.to_hex (Digest.string (String.concat "\x00" parts))
-
-let sched_key body = key_of_parts [ sched_version; Fingerprint.body body ]
-
-let ra_key ~gpu scheduled =
-  key_of_parts
-    [ ra_version; Gat_arch.Gpu.identity gpu; Fingerprint.program scheduled ]
-
-let coal_key ~gpu vp =
-  key_of_parts [ coal_version; Gat_arch.Gpu.identity gpu; Fingerprint.program vp ]
 
 let bt_key ~gpu ~(params : Params.t) ~regs_per_thread vp =
   key_of_parts
@@ -289,123 +260,7 @@ let safe_text s =
   String.length s > 0
   && not (String.exists (fun c -> c = ' ' || c = '\n') s)
 
-let instr_line cur =
-  match Instruction.of_string (line cur) with
-  | Some i -> i
-  | None -> raise Bad
-
-(* ---- sched: one block body ---- *)
-
-let find_sched ~key =
-  find_with ~stage:"sched" ~version:"1" ~key (fun cur ->
-      let n = counted cur "body" in
-      List.init n (fun _ -> instr_line cur))
-
-let store_sched ~key body =
-  store_with ~stage:"sched" ~version:"1" ~key (fun buf ->
-      addf buf "body %d\n" (List.length body);
-      List.iter
-        (fun i ->
-          Buffer.add_string buf (Instruction.to_string i);
-          Buffer.add_char buf '\n')
-        body)
-
-(* ---- terminators (shared by the ra codec) ---- *)
-
-let emit_term buf (t : Basic_block.terminator) =
-  match t with
-  | Basic_block.Jump l -> addf buf "term jump %s\n" l
-  | Basic_block.Cond_branch { pred; if_true; if_false } ->
-      addf buf "term cbr %s%s %s %s\n"
-        (if pred.Instruction.negated then "!" else "")
-        (Register.to_string pred.Instruction.reg)
-        if_true if_false
-  | Basic_block.Exit -> Buffer.add_string buf "term exit\n"
-
-let parse_term cur =
-  let t = toks (line cur) in
-  expect_tok t "term";
-  match tok t with
-  | "jump" ->
-      let l = tok t in
-      done_toks t;
-      Basic_block.Jump l
-  | "exit" ->
-      done_toks t;
-      Basic_block.Exit
-  | "cbr" ->
-      let p = tok t in
-      let negated = String.length p > 0 && p.[0] = '!' in
-      let name = if negated then String.sub p 1 (String.length p - 1) else p in
-      let reg =
-        match Register.of_string name with Some r -> r | None -> raise Bad
-      in
-      let if_true = tok t in
-      let if_false = tok t in
-      done_toks t;
-      Basic_block.Cond_branch
-        { pred = { Instruction.negated; reg }; if_true; if_false }
-  | _ -> raise Bad
-
-(* ---- ra: allocated blocks + stats, weight-free ---- *)
-
-let find_ra ~key =
-  find_with ~stage:"ra" ~version:"1" ~key (fun cur ->
-      let t = toks (line cur) in
-      expect_tok t "stats";
-      (* Token reads side-effect the stream: bind in sequence, never in
-         a record literal (field evaluation order is unspecified). *)
-      let regs_used = int_tok t in
-      let spilled_values = int_tok t in
-      let spill_loads = int_tok t in
-      let spill_stores = int_tok t in
-      let max_pressure = int_tok t in
-      let st =
-        {
-          Regalloc.regs_used;
-          spilled_values;
-          spill_loads;
-          spill_stores;
-          max_pressure;
-        }
-      in
-      done_toks t;
-      let n = counted cur "blocks" in
-      let blocks =
-        List.init n (fun _ ->
-            let t = toks (line cur) in
-            expect_tok t "block";
-            let label = tok t in
-            let nbody = int_tok t in
-            done_toks t;
-            if nbody < 0 || nbody > 1_000_000 then raise Bad;
-            let body = List.init nbody (fun _ -> instr_line cur) in
-            let term = parse_term cur in
-            Basic_block.make label body term)
-      in
-      (blocks, st))
-
-let store_ra ~key (p : Program.t) (st : Regalloc.stats) =
-  if List.for_all (fun b -> safe_text b.Basic_block.label) p.Program.blocks
-  then
-    store_with ~stage:"ra" ~version:"1" ~key (fun buf ->
-        addf buf "stats %d %d %d %d %d\n" st.Regalloc.regs_used
-          st.Regalloc.spilled_values st.Regalloc.spill_loads
-          st.Regalloc.spill_stores st.Regalloc.max_pressure;
-        addf buf "blocks %d\n" (List.length p.Program.blocks);
-        List.iter
-          (fun (b : Basic_block.t) ->
-            addf buf "block %s %d\n" b.Basic_block.label
-              (List.length b.Basic_block.body);
-            List.iter
-              (fun i ->
-                Buffer.add_string buf (Instruction.to_string i);
-                Buffer.add_char buf '\n')
-              b.Basic_block.body;
-            emit_term buf b.Basic_block.term)
-          p.Program.blocks)
-
-(* ---- affine codecs (shared by coal and verdict) ---- *)
+(* ---- affine codecs (used by the verdict codec) ---- *)
 
 let emit_coeff buf (c : Gat_analysis.Affine.coeff) =
   match c with
@@ -443,92 +298,6 @@ let value_tok t =
 
 let opcode_tok t =
   match Opcode.of_mnemonic (tok t) with Some o -> o | None -> raise Bad
-
-(* ---- coal: the per-block memory summary ---- *)
-
-let emit_access buf (a : Gat_analysis.Coalescing.access) =
-  addf buf "a %d %s %d %s %s" a.Gat_analysis.Coalescing.block_index
-    a.Gat_analysis.Coalescing.block_label a.Gat_analysis.Coalescing.instr_index
-    (Opcode.mnemonic a.Gat_analysis.Coalescing.op)
-    (match a.Gat_analysis.Coalescing.kind with `Load -> "L" | `Store -> "S");
-  (match a.Gat_analysis.Coalescing.pattern with
-  | Gat_analysis.Coalescing.Broadcast -> Buffer.add_string buf " B"
-  | Gat_analysis.Coalescing.Stride n -> addf buf " S %d" n
-  | Gat_analysis.Coalescing.Large c ->
-      Buffer.add_string buf " L";
-      emit_coeff buf c
-  | Gat_analysis.Coalescing.Unknown -> Buffer.add_string buf " U");
-  emit_coeff buf a.Gat_analysis.Coalescing.tid_stride;
-  emit_coeff buf a.Gat_analysis.Coalescing.iter_stride;
-  addf buf " %d %h\n" a.Gat_analysis.Coalescing.segments
-    a.Gat_analysis.Coalescing.transactions
-
-let parse_access cur =
-  let t = toks (line cur) in
-  expect_tok t "a";
-  let block_index = int_tok t in
-  let block_label = tok t in
-  let instr_index = int_tok t in
-  let op = opcode_tok t in
-  let kind =
-    match tok t with "L" -> `Load | "S" -> `Store | _ -> raise Bad
-  in
-  let pattern =
-    match tok t with
-    | "B" -> Gat_analysis.Coalescing.Broadcast
-    | "S" -> Gat_analysis.Coalescing.Stride (int_tok t)
-    | "L" -> Gat_analysis.Coalescing.Large (coeff_tok t)
-    | "U" -> Gat_analysis.Coalescing.Unknown
-    | _ -> raise Bad
-  in
-  let tid_stride = coeff_tok t in
-  let iter_stride = coeff_tok t in
-  let segments = int_tok t in
-  let transactions = float_tok t in
-  done_toks t;
-  {
-    Gat_analysis.Coalescing.block_index;
-    block_label;
-    instr_index;
-    op;
-    kind;
-    pattern;
-    tid_stride;
-    iter_stride;
-    segments;
-    transactions;
-  }
-
-let find_coal ~key =
-  find_with ~stage:"coal" ~version:"1" ~key (fun cur ->
-      let n = counted cur "groups" in
-      List.init n (fun _ ->
-          let t = toks (line cur) in
-          expect_tok t "group";
-          let label = tok t in
-          let k = int_tok t in
-          done_toks t;
-          if k < 0 || k > 1_000_000 then raise Bad;
-          (label, List.init k (fun _ -> parse_access cur))))
-
-let store_coal ~key summary =
-  if
-    List.for_all
-      (fun (l, accs) ->
-        safe_text l
-        && List.for_all
-             (fun (a : Gat_analysis.Coalescing.access) ->
-               safe_text a.Gat_analysis.Coalescing.block_label)
-             accs)
-      summary
-  then
-    store_with ~stage:"coal" ~version:"1" ~key (fun buf ->
-        addf buf "groups %d\n" (List.length summary);
-        List.iter
-          (fun (label, accs) ->
-            addf buf "group %s %d\n" label (List.length accs);
-            List.iter (emit_access buf) accs)
-          summary)
 
 (* ---- bt: the flat per-block simulator table ---- *)
 
@@ -847,7 +616,7 @@ let store_verdict ~key (r : Gat_analysis.Verify.report) =
             | Gat_analysis.Races.May m -> addf buf "w M %s\n" m)
           r.Gat_analysis.Verify.races)
 
-(* ---- maintenance (consumed by [Gat_tuner.Artifact_store]) ---- *)
+(* ---- maintenance (the [gat cache] subcommands) ---- *)
 
 let entries () =
   let d = dir () in

@@ -1,26 +1,28 @@
 (** The persistent content-addressed artifact store.
 
-    One MD5-sealed file per backend-stage result under
-    [<cache root>/artifacts/], keyed by a structural hash of exactly
-    the stage's inputs: the weight-free {!Gat_isa.Fingerprint} digest
-    of the input code, the {!Gat_arch.Gpu.identity} of the device, the
-    stage-relevant scalar parameters, and a per-stage format version.
-    Variants that differ only in the launch geometry (TC, BC) or the
-    problem size N key identically and share every stored result —
-    across runs and across processes — while a one-instruction edit
-    invalidates only the entries whose input digests moved.
+    One MD5-sealed file per [bt] (simulator block table) or [verdict]
+    (safety report) result under [<cache root>/artifacts/], keyed by a
+    structural hash of exactly the stage's inputs: the weight-free
+    {!Gat_isa.Fingerprint} digest of the virtual program, the
+    stage-relevant scalar parameters (and for [bt] the
+    {!Gat_arch.Gpu.identity} of the device), and a per-stage format
+    version.  Variants that differ only in the block count (BC) or the
+    problem size N key identically and share every stored result,
+    across runs and across processes.  The schedule, register
+    allocation and coalescing stages are memoized in memory only
+    ({!Codegen_cache}).
 
     Hard invariant: a store-served result is bit-identical to a
-    recomputed one.  Floats travel as [%h] hex literals and code as
-    [Instruction.to_string] lines, both exact round-trips; corruption,
-    truncation or a format-version mismatch reads as a miss, never as
-    wrong data.  I/O failure degrades the store (warn once, latch,
-    compute uncached) exactly like the sweep cache.
+    recomputed one.  Floats travel as [%h] hex literals, an exact
+    round-trip; corruption, truncation or a format-version mismatch
+    reads as a miss, never as wrong data.  I/O failure degrades the
+    store (warn once, latch, compute uncached) exactly like the sweep
+    cache.
 
     Chaos hooks: the [artifact-read] / [artifact-write] fault sites.
     Observability: [artifact.{hits,misses,stores,degraded_writes,
     bytes_read,bytes_written}] counters plus per-stage
-    [artifact.<stage>.{hits,misses}]. *)
+    [artifact.{bt,verdict}.{hits,misses}]. *)
 
 val dir : unit -> string
 (** The artifact directory, [<cache root>/artifacts] — shares
@@ -45,25 +47,11 @@ val stats : unit -> stats
 
 val reset_stats : unit -> unit
 
-val versions : (string * string) list
-(** The per-stage format versions, [(stage, "stage/N")] — each
-    participates in its stage's keys, so bumping one orphans exactly
-    that stage's entries. *)
-
 (** {1 Stage keys}
 
     Keys are stable hex strings; compute once, then [find_*] and (on a
     miss) [store_*] with the same key.  All keys are weight-free: the
     launch geometry never moves them. *)
-
-val sched_key : Gat_isa.Instruction.t list -> string
-(** Per block body — the unit of the list scheduler. *)
-
-val ra_key : gpu:Gat_arch.Gpu.t -> Gat_isa.Program.t -> string
-(** Per {e scheduled} program and device. *)
-
-val coal_key : gpu:Gat_arch.Gpu.t -> Gat_isa.Program.t -> string
-(** Per {e virtual} program and device. *)
 
 val bt_key :
   gpu:Gat_arch.Gpu.t ->
@@ -82,27 +70,6 @@ val verdict_key : threads_per_block:int -> Gat_isa.Program.t -> string
 
 (** {1 Stage entries} *)
 
-val find_sched : key:string -> Gat_isa.Instruction.t list option
-(** The scheduled body.  The caller re-attaches label, terminator and
-    the variant's own weight. *)
-
-val store_sched : key:string -> Gat_isa.Instruction.t list -> unit
-
-val find_ra :
-  key:string -> (Gat_isa.Basic_block.t list * Regalloc.stats) option
-(** Allocated output blocks (weight-free: [Weight.one] placeholders —
-    the caller reweights positionally) plus the allocation stats. *)
-
-val store_ra : key:string -> Gat_isa.Program.t -> Regalloc.stats -> unit
-
-val find_coal :
-  key:string -> (string * Gat_analysis.Coalescing.access list) list option
-(** The per-block memory summary, block order and emission order
-    preserved. *)
-
-val store_coal :
-  key:string -> (string * Gat_analysis.Coalescing.access list) list -> unit
-
 val find_bt : key:string -> Block_table.t option
 (** The full simulator table, label index rebuilt.  An entry whose
     category count disagrees with the current throughput model reads
@@ -115,8 +82,7 @@ val find_verdict : key:string -> Gat_analysis.Verify.report option
 
 val store_verdict : key:string -> Gat_analysis.Verify.report -> unit
 
-(** {1 Maintenance} — consumed by [Gat_tuner.Artifact_store] and the
-    [gat cache] subcommands. *)
+(** {1 Maintenance} — for the [gat cache] subcommands. *)
 
 val entries : unit -> string list
 (** Absolute paths of every [.art] entry, sorted by name. *)

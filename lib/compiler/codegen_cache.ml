@@ -9,13 +9,9 @@
    the TC×BC plane of a sweep keys identically and compiles the
    backend exactly once per process.
 
-   Two tiers.  The in-memory table gives same-process sharing at
-   hashtable speed.  A memory miss then consults the persistent
-   artifact store ({!Artifacts}) — scheduling per block body, register
-   allocation and coalescing per program — which shares the results
-   across runs and processes, and makes a one-block kernel edit
-   recompile O(delta): the unchanged blocks' scheduled bodies still
-   hit, only the edited block is rescheduled.
+   In memory only.  A cold atax/K20 sweep runs the backend for 5 code
+   classes, about 5 ms in total — less than persisting and reading the
+   results back would cost.
 
    The digest subsumes the old structural-equality walk: two programs
    with equal digests have equal labels, bodies and terminators, so
@@ -43,6 +39,7 @@ let hit_count = ref 0
 let miss_count = ref 0
 let m_hits = Gat_util.Metrics.counter "cache.codegen.hits"
 let m_misses = Gat_util.Metrics.counter "cache.codegen.misses"
+let t_key = Gat_util.Metrics.timer "compile.key"
 
 let stats () =
   Gat_util.Pool.with_lock lock (fun () ->
@@ -65,71 +62,16 @@ let reweight vp_blocks out_blocks =
         o.Basic_block.body o.Basic_block.term)
     vp_blocks out_blocks
 
-(* Per-block scheduling through the artifact store: each body is its
-   own content-addressed unit, so after a one-block edit every other
-   block's scheduled body is served from disk.  Single-instruction
-   bodies are a fixed point of the scheduler — not worth a file. *)
-let schedule_block (b : Basic_block.t) =
-  match b.Basic_block.body with
-  | [] | [ _ ] -> Schedule.block b
-  | body -> (
-      let key = Artifacts.sched_key body in
-      match Artifacts.find_sched ~key with
-      | Some scheduled ->
-          Basic_block.make ~weight:b.Basic_block.weight
-            ~active_frac:b.Basic_block.active_frac b.Basic_block.label
-            scheduled b.Basic_block.term
-      | None ->
-          let sb = Schedule.block b in
-          Artifacts.store_sched ~key sb.Basic_block.body;
-          sb)
-
-let schedule_program (vp : Program.t) =
-  let blocks = List.map schedule_block vp.Program.blocks in
-  Program.make ~name:vp.Program.name ~target:vp.Program.target
-    ~regs_per_thread:vp.Program.regs_per_thread
-    ~smem_static:vp.Program.smem_static ~smem_dynamic:vp.Program.smem_dynamic
-    blocks
-
-let regalloc gpu scheduled =
-  let key = Artifacts.ra_key ~gpu scheduled in
-  match Artifacts.find_ra ~key with
-  | Some (blocks, st) ->
-      let blocks = reweight scheduled.Program.blocks blocks in
-      let program =
-        Program.make ~name:scheduled.Program.name
-          ~target:scheduled.Program.target
-          ~regs_per_thread:st.Regalloc.regs_used
-          ~smem_static:scheduled.Program.smem_static
-          ~smem_dynamic:scheduled.Program.smem_dynamic blocks
-      in
-      (program, st)
-  | None ->
-      let program, st = Regalloc.run gpu scheduled in
-      Artifacts.store_ra ~key program st;
-      (program, st)
-
-let coalescing gpu vp =
-  let key = Artifacts.coal_key ~gpu vp in
-  match Artifacts.find_coal ~key with
-  | Some summary -> summary
-  | None ->
-      let summary =
-        Gat_analysis.Coalescing.block_transactions gpu
-          (Gat_cfg.Cfg.of_program vp)
-      in
-      Artifacts.store_coal ~key summary;
-      summary
-
 let compute gpu vp =
   let scheduled =
-    Gat_util.Trace.span "compile.schedule" (fun () -> schedule_program vp)
+    Gat_util.Trace.span "compile.schedule" (fun () -> Schedule.program vp)
   in
   let program, alloc_stats =
-    Gat_util.Trace.span "compile.regalloc" (fun () -> regalloc gpu scheduled)
+    Gat_util.Trace.span "compile.regalloc" (fun () -> Regalloc.run gpu scheduled)
   in
   let mem_summary =
-    Gat_util.Trace.span "compile.coalescing" (fun () -> coalescing gpu vp)
+    Gat_util.Trace.span "compile.coalescing" (fun () ->
+        Gat_analysis.Coalescing.block_transactions gpu (Gat_cfg.Cfg.of_program vp))
   in
   { program; alloc_stats; mem_summary }
 
@@ -138,7 +80,11 @@ let run ~(gpu : Gat_arch.Gpu.t) ~(params : Params.t) (vp : Program.t) =
   (* The digest covers everything the backend reads — the params that
      shape code (unroll, staging, fast_math) already shaped [vp], so
      they need no separate key component. *)
-  let key = (Gat_arch.Gpu.identity gpu, Fingerprint.program vp) in
+  let key =
+    Gat_util.Trace.span "compile.key" @@ fun () ->
+    Gat_util.Metrics.time t_key @@ fun () ->
+    (Gat_arch.Gpu.identity gpu, Fingerprint.program vp)
+  in
   let cached =
     Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt table key)
   in

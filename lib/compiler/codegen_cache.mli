@@ -16,15 +16,12 @@
     incorrectly.  Reused outputs get the current variant's weights
     re-attached, so the result is bit-identical to a fresh compile.
 
-    Two tiers: the in-memory table (same-process, hashtable speed),
-    then the persistent {!Artifacts} store — per-block scheduling
-    entries plus per-program register-allocation and coalescing
-    entries — which shares results across runs and processes and makes
-    a one-block kernel edit recompile O(delta).
+    In memory only: the backend runs once per code class and process,
+    which costs less than persisting its results would.  The digest is
+    timed as [compile.key] (trace span and metrics timer).
 
     Thread-safe; sweeps compile variants from parallel pool workers.
-    Counters: [cache.codegen.hits] / [cache.codegen.misses] (in-memory
-    tier), [artifact.{sched,ra,coal}.*] (persistent tier). *)
+    Counters: [cache.codegen.hits] / [cache.codegen.misses]. *)
 
 type outcome = {
   program : Gat_isa.Program.t;  (** Physical-register form. *)
@@ -43,8 +40,6 @@ val run :
 type stats = { classes : int; hits : int; misses : int }
 
 val stats : unit -> stats
-(** In-memory tier only; the persistent tier reports through
-    {!Artifacts.stats}. *)
 
 val clear : unit -> unit
-(** Drop the in-memory tier (persistent artifacts survive). *)
+(** Drop every memoized result. *)

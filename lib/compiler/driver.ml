@@ -13,6 +13,7 @@ type compiled = {
 
 let m_compiles = Gat_util.Metrics.counter "compile.count"
 let m_rejected = Gat_util.Metrics.counter "compile.rejected"
+let t_key = Gat_util.Metrics.timer "compile.key"
 
 let compile kernel gpu params =
   Gat_util.Metrics.incr m_compiles;
@@ -60,6 +61,8 @@ let compile kernel gpu params =
               let block_table =
                 Gat_util.Trace.span "compile.block_table" (fun () ->
                     let key =
+                      Gat_util.Trace.span "compile.key" @@ fun () ->
+                      Gat_util.Metrics.time t_key @@ fun () ->
                       Artifacts.bt_key ~gpu ~params
                         ~regs_per_thread:log.Ptxas_info.registers
                         virtual_program

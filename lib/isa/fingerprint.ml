@@ -1,10 +1,10 @@
-(* Weight-free structural digests of lowered code.
+(* The weight-free structural digest of lowered code.
 
    Lowering bakes the launch geometry (TC, BC) only into the per-block
    execution weights and active fractions; the instruction streams of
    a lowered kernel are identical across every (TC, BC) point of a
-   sweep once the code-shaping parameters are fixed.  These digests
-   deliberately exclude the weights, so two variants that differ only
+   sweep once the code-shaping parameters are fixed.  The digest
+   deliberately excludes the weights, so two variants that differ only
    in launch geometry hash to the same key — the property every
    backend cache (in-memory and on-disk) keys its sharing on.
 
@@ -14,12 +14,6 @@
    labels and terminators (branch structure), and the program's
    register/shared-memory footprint.  A one-instruction edit anywhere
    moves the digest; a weight change never does. *)
-
-let add_instruction buf ins =
-  Buffer.add_string buf (Instruction.to_string ins);
-  Buffer.add_char buf '\n'
-
-let add_body buf body = List.iter (add_instruction buf) body
 
 (* Terminators rendered with their targets — [terminator_instruction]
    would drop the labels, making straight-line and looping code with
@@ -44,20 +38,12 @@ let add_block buf (b : Basic_block.t) =
   Buffer.add_string buf "block ";
   Buffer.add_string buf b.Basic_block.label;
   Buffer.add_char buf '\n';
-  add_body buf b.Basic_block.body;
+  List.iter
+    (fun ins ->
+      Buffer.add_string buf (Instruction.to_string ins);
+      Buffer.add_char buf '\n')
+    b.Basic_block.body;
   add_terminator buf b.Basic_block.term
-
-let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let body (instrs : Instruction.t list) =
-  let buf = Buffer.create 512 in
-  add_body buf instrs;
-  digest buf
-
-let block (b : Basic_block.t) =
-  let buf = Buffer.create 512 in
-  add_block buf b;
-  digest buf
 
 let program (p : Program.t) =
   let buf = Buffer.create 4096 in
@@ -69,4 +55,4 @@ let program (p : Program.t) =
        (Gat_arch.Compute_capability.to_string p.Program.target)
        p.Program.regs_per_thread p.Program.smem_static p.Program.smem_dynamic);
   List.iter (add_block buf) p.Program.blocks;
-  digest buf
+  Digest.to_hex (Digest.string (Buffer.contents buf))

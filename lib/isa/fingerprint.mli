@@ -1,5 +1,5 @@
-(** Weight-free structural digests of lowered code — THE shared hash
-    every backend cache keys on.
+(** The weight-free structural digest of lowered code — THE shared
+    hash every backend cache keys on.
 
     A digest covers the instruction text (exact, including [%h] float
     immediates), the branch structure (labels and terminators) and the
@@ -7,19 +7,9 @@
     per-block execution weights or active fractions — the only lowered
     artifacts that depend on the launch geometry.  Variants differing
     only in TC/BC (or the problem size N) therefore hash identically
-    and share every backend result keyed on these digests, while any
-    one-instruction edit moves the digest and invalidates exactly the
-    entries whose inputs changed.
-
-    Replaces the ad-hoc weight-free structural-equality walks the
-    codegen and verdict caches used to carry separately. *)
-
-val body : Instruction.t list -> string
-(** Hex MD5 of one block body's instruction stream (no label, no
-    terminator): the input of per-block scheduling. *)
-
-val block : Basic_block.t -> string
-(** Hex MD5 of one block: label, body, terminator. *)
+    and share every backend result keyed on the digest, while any
+    one-instruction edit moves it.  Its keyers: the in-memory codegen
+    and verdict caches and the [bt]/[verdict] artifact keys. *)
 
 val program : Program.t -> string
 (** Hex MD5 of a whole program: name, target, register/smem footprint

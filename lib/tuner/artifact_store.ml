@@ -1,9 +1,8 @@
-(* Management facade over every persistent cache file gat owns.
+(* Byte-budget eviction over every persistent cache file gat owns.
 
    The compile-side store ({!Gat_compiler.Artifacts}) and the
    sweep-side cache ({!Disk_cache}) share one directory tree under
-   [Gat_util.Cache_dir.root]; this module gives the CLI a single
-   surface for inspecting and bounding all of it.  Eviction is
+   [Gat_util.Cache_dir.root]; [gc] bounds all of it at once.  Eviction is
    least-recently-used by access time: content-addressed entries carry
    no internal ordering, so the filesystem's atime (or mtime, whichever
    is younger — relatime mounts update atime lazily) is the honest
@@ -80,19 +79,3 @@ let gc ~max_bytes =
         | exception Sys_error _ -> ())
     order;
   { files; bytes; removed_files = !removed_files; removed_bytes = !removed_bytes }
-
-(* ---- artifact-store pass-throughs for the CLI ---- *)
-
-type stats = Gat_compiler.Artifacts.stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  degraded_writes : int;
-}
-
-let dir = Gat_compiler.Artifacts.dir
-let stats = Gat_compiler.Artifacts.stats
-let disk_usage = Gat_compiler.Artifacts.disk_usage
-let clear = Gat_compiler.Artifacts.clear
-let set_enabled = Gat_compiler.Artifacts.set_enabled
-let enabled = Gat_compiler.Artifacts.enabled

@@ -1,13 +1,10 @@
-(** Management facade over gat's persistent cache tree — the sweep
-    cache ([.sweep]/[.ckpt] under [Gat_util.Cache_dir.root]) plus the
-    content-addressed artifact store ([artifacts/*.art]) — for the
-    [gat cache] subcommands.
-
-    The stage-level read/write API lives in
-    {!Gat_compiler.Artifacts}; this module adds the cross-store
-    maintenance the CLI needs, most importantly {!gc}: bound the whole
-    tree to a byte budget by evicting least-recently-used files
-    first. *)
+(** [gat cache gc]: bound gat's whole persistent cache tree — the
+    sweep cache ([.sweep]/[.ckpt] under [Gat_util.Cache_dir.root]),
+    the content-addressed artifact store ([artifacts/*.art]) and idle
+    shard coordination state — to a byte budget by evicting
+    least-recently-used files first.  Per-store inspection and
+    clearing live with each store ({!Disk_cache},
+    {!Gat_compiler.Artifacts}). *)
 
 type gc_result = {
   files : int;  (** Candidate files examined. *)
@@ -25,19 +22,3 @@ val gc : max_bytes:int -> gc_result
     Recency is [max(atime, mtime)] — honest under relatime mounts —
     with the path as a stable tiebreak.  Removal errors are skipped,
     never fatal. *)
-
-(** {1 Artifact-store pass-throughs} *)
-
-type stats = Gat_compiler.Artifacts.stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  degraded_writes : int;
-}
-
-val dir : unit -> string
-val stats : unit -> stats
-val disk_usage : unit -> int * int
-val clear : unit -> int
-val set_enabled : bool -> unit
-val enabled : unit -> bool

@@ -9,9 +9,10 @@
    sweep, with the digest subsuming the structural-equality walk this
    cache used to carry.
 
-   Two tiers, like the codegen cache: the in-memory table for
-   same-process sharing, then the persistent artifact store for
-   sharing across runs and processes. *)
+   Two tiers: the in-memory table for same-process sharing, then the
+   persistent artifact store for sharing across runs and processes.
+   Both keys are timed as [verify.key] (trace span and metrics
+   timer). *)
 
 open Gat_isa
 
@@ -25,6 +26,10 @@ let hit_count = ref 0
 let miss_count = ref 0
 let m_hits = Gat_util.Metrics.counter "cache.verdict.hits"
 let m_misses = Gat_util.Metrics.counter "cache.verdict.misses"
+let t_key = Gat_util.Metrics.timer "verify.key"
+
+let keyed f =
+  Gat_util.Trace.span "verify.key" @@ fun () -> Gat_util.Metrics.time t_key f
 
 let stats () =
   Gat_util.Pool.with_lock lock (fun () ->
@@ -41,7 +46,7 @@ let get (c : Gat_compiler.Driver.compiled) =
   let tc =
     c.Gat_compiler.Driver.params.Gat_compiler.Params.threads_per_block
   in
-  let key = (Fingerprint.program vp, tc) in
+  let key = keyed (fun () -> (Fingerprint.program vp, tc)) in
   let cached =
     Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt table key)
   in
@@ -52,7 +57,10 @@ let get (c : Gat_compiler.Driver.compiled) =
       report
   | None ->
       let report =
-        let akey = Gat_compiler.Artifacts.verdict_key ~threads_per_block:tc vp in
+        let akey =
+          keyed (fun () ->
+              Gat_compiler.Artifacts.verdict_key ~threads_per_block:tc vp)
+        in
         match Gat_compiler.Artifacts.find_verdict ~key:akey with
         | Some report -> report
         | None ->

@@ -1,7 +1,8 @@
 (* Tests for the content-addressed artifact store: golden key
-   stability, stage round-trips, BC-plane sharing across simulated
-   processes, bit-identity of store-served sweeps, corruption
-   tolerance, and the LRU gc. *)
+   stability, bt and verdict round-trips, BC-plane sharing across
+   simulated processes, bit-identity of store-served sweeps,
+   corruption tolerance, what a sweep leaves in the store, and the LRU
+   gc. *)
 
 (* Everything below must run against a private scratch directory, never
    the user's real cache. *)
@@ -35,7 +36,6 @@ let reset () =
 
 let compiled = lazy (Gat_compiler.Driver.compile_exn kernel gpu Params.default)
 let vp () = (Lazy.force compiled).Gat_compiler.Driver.ptx
-let physical () = (Lazy.force compiled).Gat_compiler.Driver.program
 
 (* ---- golden keys ----
 
@@ -51,10 +51,6 @@ let test_golden_keys () =
   let got =
     [
       ("program fingerprint", Fingerprint.program p);
-      ( "sched key",
-        Artifacts.sched_key (List.hd p.Gat_isa.Program.blocks).Gat_isa.Basic_block.body );
-      ("ra key", Artifacts.ra_key ~gpu (physical ()));
-      ("coal key", Artifacts.coal_key ~gpu p);
       ("bt key", Artifacts.bt_key ~gpu ~params:Params.default ~regs_per_thread:20 p);
       ("verdict key", Artifacts.verdict_key ~threads_per_block:128 p);
     ]
@@ -62,9 +58,6 @@ let test_golden_keys () =
   let want =
     [
       ("program fingerprint", "133774d54218b7a5eb6218242fd5a562");
-      ("sched key", "6bb3eba7b5faf821515deb9b23e30479");
-      ("ra key", "534dca5591227e5fd39c000d8b856c35");
-      ("coal key", "47b43226609fa1b2b7ce2c676610aedc");
       ("bt key", "5008f7939cab5539b99789ef0ddbee3c");
       ("verdict key", "39ac2ff361dab7fbcaf28a82a2675617");
     ]
@@ -72,53 +65,103 @@ let test_golden_keys () =
   Alcotest.(check (list (pair string string))) "pinned digests" want got
 
 let test_keys_weight_free () =
-  (* Same code at a different launch geometry: every weight-free key
-     must be unchanged, and the bt key must move only with the
-     occupancy-relevant scalars. *)
+  (* Same code at a different launch geometry: the fingerprint must be
+     unchanged, and the bt and verdict keys must move only with the
+     scalars they read. *)
   let c1 = Lazy.force compiled in
   let params2 = Params.make ~threads_per_block:512 ~block_count:24 () in
   let c2 = Gat_compiler.Driver.compile_exn kernel gpu params2 in
   let p1 = c1.Gat_compiler.Driver.ptx and p2 = c2.Gat_compiler.Driver.ptx in
   Alcotest.(check string) "fingerprint ignores TC/BC" (Fingerprint.program p1)
     (Fingerprint.program p2);
-  Alcotest.(check string) "coal key ignores TC/BC" (Artifacts.coal_key ~gpu p1)
-    (Artifacts.coal_key ~gpu p2);
   Alcotest.(check bool) "bt key reads TC" false
     (Artifacts.bt_key ~gpu ~params:Params.default ~regs_per_thread:20 p1
     = Artifacts.bt_key ~gpu ~params:params2 ~regs_per_thread:20 p1);
   Alcotest.(check bool) "verdict key reads TC" false
     (Artifacts.verdict_key ~threads_per_block:128 p1
     = Artifacts.verdict_key ~threads_per_block:512 p1);
-  Alcotest.(check bool) "ra key reads the device" false
-    (Artifacts.ra_key ~gpu p1 = Artifacts.ra_key ~gpu:Gat_arch.Gpu.p100 p1)
+  Alcotest.(check bool) "bt key reads the device" false
+    (Artifacts.bt_key ~gpu ~params:Params.default ~regs_per_thread:20 p1
+    = Artifacts.bt_key ~gpu:Gat_arch.Gpu.p100 ~params:Params.default
+        ~regs_per_thread:20 p1)
 
-(* ---- stage round-trip ---- *)
+(* ---- stage round-trips ---- *)
 
-let test_sched_roundtrip () =
+let bt_key_of (c : Gat_compiler.Driver.compiled) =
+  Artifacts.bt_key ~gpu ~params:c.Gat_compiler.Driver.params
+    ~regs_per_thread:c.Gat_compiler.Driver.log.Gat_compiler.Ptxas_info.registers
+    c.Gat_compiler.Driver.ptx
+
+let check_bt_equal (a : Gat_compiler.Block_table.t)
+    (b : Gat_compiler.Block_table.t) =
+  (* [compare], not [=], so a NaN cell equals itself.  The label index
+     is a hashtable whose layout depends on its creation size, so it is
+     checked by lookup instead. *)
+  Alcotest.(check bool) "table identical" true
+    (compare { a with Gat_compiler.Block_table.index = b.index } b = 0);
+  Array.iteri
+    (fun i l ->
+      Alcotest.(check (option int)) "label index" (Some i)
+        (Hashtbl.find_opt b.Gat_compiler.Block_table.index l))
+    a.Gat_compiler.Block_table.labels
+
+let test_bt_roundtrip () =
+  (* Compile first: the pipeline stores its own bt entry, which the
+     reset then removes. *)
+  let c = Lazy.force compiled in
   reset ();
-  let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
-  let key = Artifacts.sched_key body in
-  Alcotest.(check bool) "miss before store" true (Artifacts.find_sched ~key = None);
-  Artifacts.store_sched ~key body;
-  (match Artifacts.find_sched ~key with
-  | None -> Alcotest.fail "stored schedule not found"
-  | Some loaded ->
-      Alcotest.(check (list string)) "instructions identical"
-        (List.map Gat_isa.Instruction.to_string body)
-        (List.map Gat_isa.Instruction.to_string loaded));
+  let key = bt_key_of c in
+  Alcotest.(check bool) "miss before store" true (Artifacts.find_bt ~key = None);
+  Artifacts.store_bt ~key c.Gat_compiler.Driver.block_table;
+  (match Artifacts.find_bt ~key with
+  | None -> Alcotest.fail "stored block table not found"
+  | Some loaded -> check_bt_equal c.Gat_compiler.Driver.block_table loaded);
   let s = Artifacts.stats () in
   Alcotest.(check int) "one store" 1 s.Artifacts.stores;
   Alcotest.(check int) "one hit" 1 s.Artifacts.hits;
   Alcotest.(check int) "one miss" 1 s.Artifacts.misses
 
+let fixture_program name =
+  Gat_isa.Parser.program_exn
+    (In_channel.with_open_text (Filename.concat "fixtures" name)
+       In_channel.input_all)
+
+let test_verdict_findings_roundtrip () =
+  reset ();
+  List.iter
+    (fun name ->
+      let p = fixture_program name in
+      let report = Gat_analysis.Verify.run ~threads_per_block:128 p in
+      Alcotest.(check bool) (name ^ " has findings") false
+        (Gat_analysis.Verify.safe report);
+      let key = Artifacts.verdict_key ~threads_per_block:128 p in
+      Alcotest.(check bool) (name ^ " misses before store") true
+        (Artifacts.find_verdict ~key = None);
+      Artifacts.store_verdict ~key report;
+      match Artifacts.find_verdict ~key with
+      | None -> Alcotest.failf "%s: stored verdict not found" name
+      | Some loaded ->
+          Alcotest.(check bool) (name ^ " report identical") true
+            (loaded = report);
+          Alcotest.(check string) (name ^ " render identical")
+            (Gat_analysis.Verify.render report)
+            (Gat_analysis.Verify.render loaded))
+    [ "racy_smem.sass"; "divergent_bar.sass" ]
+
 let test_disabled_is_inert () =
+  let c = Lazy.force compiled in
   reset ();
   Artifacts.set_enabled false;
-  let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
-  let key = Artifacts.sched_key body in
-  Artifacts.store_sched ~key body;
-  Alcotest.(check bool) "no find when disabled" true
-    (Artifacts.find_sched ~key = None);
+  let vp = c.Gat_compiler.Driver.ptx in
+  let bt_key = bt_key_of c in
+  let verdict_key = Artifacts.verdict_key ~threads_per_block:128 vp in
+  Artifacts.store_bt ~key:bt_key c.Gat_compiler.Driver.block_table;
+  Artifacts.store_verdict ~key:verdict_key
+    (Gat_analysis.Verify.run ~threads_per_block:128 vp);
+  Alcotest.(check bool) "no bt find when disabled" true
+    (Artifacts.find_bt ~key:bt_key = None);
+  Alcotest.(check bool) "no verdict find when disabled" true
+    (Artifacts.find_verdict ~key:verdict_key = None);
   let files, _ = Artifacts.disk_usage () in
   Alcotest.(check int) "no file written" 0 files;
   let s = Artifacts.stats () in
@@ -234,53 +277,126 @@ let test_bc_plane_shared_across_processes () =
    read as a miss (or, when the mutation writes back the original
    byte, an unchanged hit) — never a wrong hit, never an exception. *)
 
-let bt_entry =
+(* The fuzzed entries: the bt entry the compile pipeline stores, and
+   the verdict entry of the racy fixture, findings included.  [hit]
+   looks the entry up and reports whether it was served. *)
+type fuzzed = { path : string; whole : string; hit : unit -> bool }
+
+let fuzzed_entries =
   lazy
     (reset ();
      (* Recompile after the reset: the compile pipeline stores the bt
         entry as a side effect. *)
      let c = Gat_compiler.Driver.compile_exn kernel gpu Params.default in
-     let p = c.Gat_compiler.Driver.ptx in
-     let key =
-       Artifacts.bt_key ~gpu ~params:Params.default
-         ~regs_per_thread:c.Gat_compiler.Driver.log.Gat_compiler.Ptxas_info.registers
-         p
+     let bt_key = bt_key_of c in
+     let racy = fixture_program "racy_smem.sass" in
+     let verdict_key = Artifacts.verdict_key ~threads_per_block:128 racy in
+     Artifacts.store_verdict ~key:verdict_key
+       (Gat_analysis.Verify.run ~threads_per_block:128 racy);
+     let entry stage key hit =
+       let path =
+         Filename.concat (Artifacts.dir ()) (stage ^ "-" ^ key ^ ".art")
+       in
+       Alcotest.(check bool) (stage ^ " entry on disk") true
+         (Sys.file_exists path);
+       { path; whole = In_channel.with_open_bin path In_channel.input_all; hit }
      in
-     let path = Filename.concat (Artifacts.dir ()) ("bt-" ^ key ^ ".art") in
-     Alcotest.(check bool) "bt entry on disk" true (Sys.file_exists path);
-     (key, path, In_channel.with_open_bin path In_channel.input_all))
+     ( entry "bt" bt_key (fun () -> Artifacts.find_bt ~key:bt_key <> None),
+       entry "verdict" verdict_key (fun () ->
+           Artifacts.find_verdict ~key:verdict_key <> None) ))
 
-let find_mutated mutated =
-  let key, path, whole = Lazy.force bt_entry in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
-  match Artifacts.find_bt ~key with
-  | exception e ->
-      Alcotest.failf "find_bt raised on corrupted entry: %s" (Printexc.to_string e)
-  | None -> String.compare mutated whole <> 0
-  | Some _ -> String.compare mutated whole = 0
+let pick verdict =
+  let bt, v = Lazy.force fuzzed_entries in
+  if verdict then v else bt
+
+let find_mutated e mutated =
+  Out_channel.with_open_bin e.path (fun oc -> Out_channel.output_string oc mutated);
+  match e.hit () with
+  | exception ex ->
+      Alcotest.failf "find raised on corrupted %s: %s" e.path
+        (Printexc.to_string ex)
+  | false -> String.compare mutated e.whole <> 0
+  | true -> String.compare mutated e.whole = 0
 
 let test_truncation_property =
   QCheck.Test.make ~name:"every truncation is a miss" ~count:200
-    QCheck.(float_range 0.0 1.0)
-    (fun frac ->
-      let _, _, whole = Lazy.force bt_entry in
-      let keep = int_of_float (frac *. float_of_int (String.length whole)) in
-      let keep = min keep (String.length whole - 1) in
-      find_mutated (String.sub whole 0 keep))
+    QCheck.(pair bool (float_range 0.0 1.0))
+    (fun (verdict, frac) ->
+      let e = pick verdict in
+      let keep = int_of_float (frac *. float_of_int (String.length e.whole)) in
+      let keep = min keep (String.length e.whole - 1) in
+      find_mutated e (String.sub e.whole 0 keep))
 
 let test_byte_flip_property =
   QCheck.Test.make ~name:"every single-byte corruption is a miss" ~count:500
-    QCheck.(pair (float_range 0.0 1.0) (int_range 0 255))
-    (fun (frac, byte) ->
-      let _, _, whole = Lazy.force bt_entry in
+    QCheck.(triple bool (float_range 0.0 1.0) (int_range 0 255))
+    (fun (verdict, frac, byte) ->
+      let e = pick verdict in
       let pos =
         min
-          (String.length whole - 1)
-          (int_of_float (frac *. float_of_int (String.length whole)))
+          (String.length e.whole - 1)
+          (int_of_float (frac *. float_of_int (String.length e.whole)))
       in
-      let mutated = Bytes.of_string whole in
+      let mutated = Bytes.of_string e.whole in
       Bytes.set mutated pos (Char.chr byte);
-      find_mutated (Bytes.to_string mutated))
+      find_mutated e (Bytes.to_string mutated))
+
+(* ---- what the store holds ---- *)
+
+let stage_of path =
+  let name = Filename.basename path in
+  match String.index_opt name '-' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+let test_sweep_leaves_bt_and_verdict () =
+  reset ();
+  ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
+  let stages = List.sort_uniq String.compare (List.map stage_of (Artifacts.entries ())) in
+  Alcotest.(check (list string)) "only bt and verdict entries" [ "bt"; "verdict" ]
+    stages
+
+(* Entries of the retired schedule/regalloc/coalescing stages, as a
+   cache written by an older gat would hold them. *)
+let plant_legacy () =
+  let dir = Artifacts.dir () in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  List.map
+    (fun stage ->
+      let path =
+        Filename.concat dir
+          (stage ^ "-" ^ Digest.to_hex (Digest.string stage) ^ ".art")
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc ("gat-artifact 1\nstage " ^ stage ^ "/1\n"));
+      path)
+    [ "sched"; "ra"; "coal" ]
+
+let test_legacy_entries_reclaimed () =
+  reset ();
+  ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
+  let current = Artifacts.entries () in
+  (* gc: aged far into the past, the legacy files are the coldest and
+     go first; a budget of exactly the current entries keeps those. *)
+  let legacy = plant_legacy () in
+  let past = Unix.time () -. 864000.0 in
+  List.iter (fun p -> Unix.utimes p past past) legacy;
+  let _, bytes = Artifacts.disk_usage () in
+  let legacy_bytes =
+    List.fold_left (fun acc p -> acc + (Unix.stat p).Unix.st_size) 0 legacy
+  in
+  let r = Store.gc ~max_bytes:(bytes - legacy_bytes) in
+  Alcotest.(check int) "gc evicts the legacy entries" (List.length legacy)
+    r.Store.removed_files;
+  Alcotest.(check (list string)) "gc keeps the current entries" current
+    (Artifacts.entries ());
+  (* clear: every .art file goes, whatever its stage. *)
+  let legacy = plant_legacy () in
+  let removed = Artifacts.clear () in
+  Alcotest.(check int) "clear removes current and legacy entries"
+    (List.length current + List.length legacy)
+    removed;
+  Alcotest.(check (list string)) "store empty" [] (Artifacts.entries ())
 
 (* ---- gc ---- *)
 
@@ -344,7 +460,9 @@ let () =
             ] );
           ( "entries",
             [
-              Alcotest.test_case "sched roundtrip" `Quick test_sched_roundtrip;
+              Alcotest.test_case "bt roundtrip" `Quick test_bt_roundtrip;
+              Alcotest.test_case "verdict roundtrip with findings" `Quick
+                test_verdict_findings_roundtrip;
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;
             ] );
           ( "sweeps",
@@ -360,6 +478,13 @@ let () =
             [
               QCheck_alcotest.to_alcotest test_truncation_property;
               QCheck_alcotest.to_alcotest test_byte_flip_property;
+            ] );
+          ( "contents",
+            [
+              Alcotest.test_case "sweep leaves only bt and verdict" `Quick
+                test_sweep_leaves_bt_and_verdict;
+              Alcotest.test_case "legacy stage entries reclaimed" `Quick
+                test_legacy_entries_reclaimed;
             ] );
           ( "gc",
             [

@@ -137,6 +137,33 @@ let test_trace_roundtrip () =
         (fun n -> Alcotest.(check bool) n true (has n))
         [ "compile"; "simulate"; "sweep.compile"; "sweep.simulate" ]
 
+(* The structural digests that key the codegen, block-table and
+   verdict caches cost real time; they must show as named spans and
+   timers, not as an unattributed gap inside [compile]. *)
+let test_keying_spans () =
+  Gat_tuner.Disk_cache.set_enabled false;
+  Tuner.clear_cache ();
+  Trace.clear ();
+  Trace.enable ();
+  ignore (Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:32 ~seed:7);
+  Trace.disable ();
+  let json, _ = Trace.render () in
+  Trace.clear ();
+  Gat_tuner.Disk_cache.set_enabled true;
+  let timed name =
+    List.exists
+      (fun (n, events, _) -> n = name && events > 0)
+      (Metrics.timers_snapshot ())
+  in
+  match Trace.validate_string json with
+  | Error e -> Alcotest.failf "trace invalid: %s" e
+  | Ok v ->
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (n ^ " span") true (List.mem n v.Trace.span_names);
+          Alcotest.(check bool) (n ^ " timer") true (timed n))
+        [ "compile.key"; "verify.key" ]
+
 let test_validator_negatives () =
   let bad s =
     match Trace.validate_string s with
@@ -383,6 +410,7 @@ let () =
           Alcotest.test_case "span transparency" `Quick test_span_transparency;
           Alcotest.test_case "sweep roundtrip validates" `Quick
             test_trace_roundtrip;
+          Alcotest.test_case "keying spans named" `Quick test_keying_spans;
           Alcotest.test_case "require thresholds" `Quick
             test_require_thresholds;
           Alcotest.test_case "validator negatives" `Quick
